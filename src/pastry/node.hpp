@@ -96,7 +96,8 @@ class PastryNode {
   /// True while `a` is excluded from routing after a missed per-hop ack
   /// (suspected but not yet condemned; cleared by any message heard).
   bool currently_excludes(net::Address a) const {
-    return excluded_.count(a) > 0;
+    const PeerState* p = peer(a);
+    return p != nullptr && p->excluded;
   }
 
   /// Install (or clear, with nullptr) a Byzantine behavior policy. Not
@@ -126,6 +127,36 @@ class PastryNode {
   DebugState debug_state() const;
 
  private:
+  /// Everything this node remembers about one peer, keyed by address in
+  /// peers_. Times hold kTimeNever until first set, so "never" stays
+  /// distinct from t = 0; trt_hint == 0.0 means no hint was gossiped.
+  struct PeerState {
+    RttEstimator rtt;                 ///< for RTO and as PNS seed data
+    SimTime last_heard = kTimeNever;  ///< right-neighbour watch
+    SimTime last_sent = kTimeNever;   ///< heartbeat suppression
+    /// Probe-suppression evidence: like last_heard, but replies to our own
+    /// probes do not count, or the effective probing period would double.
+    SimTime suppress_heard = kTimeNever;
+    SimTime last_probe_due = kTimeNever;  ///< routing-table probe cycle
+    /// Last distance measurement (TTL-limited), so gossip does not keep
+    /// re-probing candidates that never win a slot.
+    SimTime measured_at = kTimeNever;
+    double trt_hint = 0.0;  ///< gossiped self-tuning Trt, in seconds
+    /// Excluded from routing after a missed per-hop ack, until heard from.
+    bool excluded = false;
+
+    /// True when `t` is set and less than `window` before `now`.
+    static bool recent(SimTime t, SimTime now, SimDuration window) {
+      return t != kTimeNever && now - t < window;
+    }
+  };
+
+  /// The peer's record, or nullptr when there is none.
+  const PeerState* peer(net::Address a) const {
+    const auto it = peers_.find(a);
+    return it != peers_.end() ? &it->second : nullptr;
+  }
+
   // --- Message sending ---------------------------------------------------
   /// Stamp the common header (sender, trt hint), track last-sent time, and
   /// hand to the environment.
@@ -317,10 +348,9 @@ class PastryNode {
   };
   std::unordered_map<net::Address, RtProbeState> rt_probing_;
 
-  /// Nodes temporarily excluded from routing after a missed per-hop ack;
-  /// cleared when any message is heard from them or they are marked
-  /// faulty.
-  std::unordered_set<net::Address> excluded_;
+  /// Per-peer records; a peer is forgotten (marked faulty, or LEAVE) with
+  /// one erase.
+  std::unordered_map<net::Address, PeerState> peers_;
 
   /// In-flight forwarded messages awaiting per-hop acks.
   struct PendingAck {
@@ -334,34 +364,13 @@ class PastryNode {
   std::unordered_map<std::uint64_t, PendingAck> pending_acks_;
   std::uint64_t next_hop_seq_ = 1;
 
-  /// Per-destination RTT estimators (for RTO and as PNS seed data).
-  std::unordered_map<net::Address, RttEstimator> rtt_;
-
-  /// Liveness bookkeeping for suppression and the right-neighbour watch.
-  std::unordered_map<net::Address, SimTime> last_heard_;
-  std::unordered_map<net::Address, SimTime> last_sent_;
-
-  /// Suppression evidence: like last_heard_, but excluding replies to our
-  /// own probes — a probe's reply must not suppress the next probe, or
-  /// the effective probing period silently doubles.
-  std::unordered_map<net::Address, SimTime> suppress_heard_;
-
-  /// When each routing-table entry was last due a liveness probe.
-  std::unordered_map<net::Address, SimTime> last_probe_due_;
-
   /// Buffered routed messages (node inactive, or leaf set mid-repair).
   std::vector<IntrusivePtr<RoutedMessage>> buffered_;
 
   /// Self-tuning state.
   FailureRateEstimator fail_est_;
-  std::unordered_map<net::Address, double> trt_hints_;
   double trt_local_s_;
   double trt_current_s_;
-
-  /// Addresses whose distance was measured recently (TTL-limited), so
-  /// periodic gossip does not endlessly re-probe candidates that never
-  /// win a slot.
-  std::unordered_map<net::Address, SimTime> measured_at_;
 
   /// Distance-probe sessions.
   struct DistanceSession {

@@ -143,16 +143,4 @@ int RoutingTable::deepest_row() const {
   return -1;
 }
 
-void RoutingTable::for_each(
-    const std::function<void(int, int, const Entry&)>& f) const {
-  for (int r = 0; r < rows(); ++r) {
-    const std::uint32_t h = rows_[static_cast<std::size_t>(r)];
-    if (h == NodeArena::kNullRow) continue;
-    const Entry* base = arena_->row(h);
-    for (int c = 0; c < cols(); ++c) {
-      if (base[c].node.valid()) f(r, c, base[c]);
-    }
-  }
-}
-
 }  // namespace mspastry::pastry

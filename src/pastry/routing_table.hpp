@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -94,8 +93,17 @@ class RoutingTable {
   std::size_t entry_count() const { return count_; }
 
   /// Visit every entry: f(row, col, entry).
-  void for_each(
-      const std::function<void(int, int, const Entry&)>& f) const;
+  template <class F>
+  void for_each(F&& f) const {
+    for (int r = 0; r < rows(); ++r) {
+      const std::uint32_t h = rows_[static_cast<std::size_t>(r)];
+      if (h == NodeArena::kNullRow) continue;
+      const Entry* base = arena_->row(h);
+      for (int c = 0; c < cols(); ++c) {
+        if (base[c].node.valid()) f(r, c, base[c]);
+      }
+    }
+  }
 
  private:
   /// Occupied slot at (row, col), or nullptr (row missing or slot empty).

@@ -139,6 +139,101 @@ TEST(NodeGossip, MeasurementTtlPreventsImmediateReprobe) {
   EXPECT_EQ(h.env.count_outgoing(MsgType::kDistanceProbe), 0);
 }
 
+TEST(NodeGossip, CandidateHeardFromButNeverMeasuredIsMeasured) {
+  NodeHarness h(kSelf);
+  h.node->bootstrap();
+  const auto peer = rt_peer(7, 5);
+  // The peer talks to us (so we hold a record for it) well inside the
+  // measurement TTL, but its distance was never measured.
+  h.env.run_for(seconds(1));
+  h.receive(peer, make_refcounted<pastry::RtProbeMsg>(false));
+  ASSERT_LT(h.env.now(), Config{}.distance_measurement_ttl);
+  h.env.drain();
+  announce_row(h, nd(900, 9), {peer});
+  EXPECT_EQ(h.env.count_outgoing(MsgType::kDistanceProbe), 1);
+}
+
+TEST(NodeGossip, EntryFirstSeenLateIsNotProbedBeforeOneTrt) {
+  Config cfg;
+  cfg.self_tuning = false;  // Trt = t_rt_fixed
+  NodeHarness h(kSelf, cfg);
+  h.node->bootstrap();
+  // Adopt the entry more than one Trt after start-up, through a distance
+  // measurement (probe replies are not suppression evidence).
+  h.env.run_for(2 * cfg.t_rt_fixed);
+  const auto peer = rt_peer(7, 5);
+  announce_row(h, nd(900, 9), {peer});
+  std::vector<testing::MockEnv::Sent> kept;
+  answer_distance_probes(h, peer, milliseconds(5), seconds(3), &kept);
+  ASSERT_TRUE(h.node->routing_table().contains(5));
+  const auto rt_probes_to_peer = [&] {
+    int n = 0;
+    for (const auto& s : kept) {
+      n += s.to == peer.addr && s.msg->type == MsgType::kRtProbe;
+    }
+    for (const auto& s : h.env.drain()) {
+      n += s.to == peer.addr && s.msg->type == MsgType::kRtProbe;
+    }
+    kept.clear();
+    return n;
+  };
+  // Its probe cycle starts when a scan first sees it: nothing for most of
+  // a period...
+  h.env.run_for(cfg.t_rt_fixed - seconds(6));
+  EXPECT_EQ(rt_probes_to_peer(), 0);
+  EXPECT_EQ(h.counters.rt_probes_periodic, 0u);
+  // ...then periodic probing proper.
+  h.env.run_for(cfg.t_rt_fixed);
+  EXPECT_GE(rt_probes_to_peer(), 1);
+}
+
+TEST(NodeGossip, LeaveDropsPeersTrtHintFromMedian) {
+  // The gossip median over {own, 100 s, 200 s} is 200 s; once the 200 s
+  // hint is forgotten it is max(own, 100 s) = own = t_rt_max.
+  const auto median_after = [](bool leave) {
+    Config cfg;
+    cfg.t_rt_max = minutes(10);  // own estimate; first scan within it
+    NodeHarness h(kSelf, cfg);
+    h.node->bootstrap();
+    const auto report = [&](const NodeDescriptor& from, double hint) {
+      auto m = make_refcounted<pastry::DistanceReportMsg>();
+      m->rtt = milliseconds(10);
+      m->trt_hint_s = hint;
+      h.receive(from, std::move(m));
+    };
+    // A hint-less leaf member keeps the leaf set non-empty, so repair
+    // after the LEAVE probes it rather than pulling the table entries
+    // into the leaf set.
+    const NodeDescriptor peers[] = {rt_peer(7, 5), rt_peer(9, 6),
+                                    nd(1010, 3)};
+    h.receive_ls_probe(peers[2]);
+    report(peers[0], 100.0);
+    report(peers[1], 200.0);
+    if (leave) h.receive(peers[1], make_refcounted<pastry::LeaveMsg>());
+    report(peers[1], 0.0);  // back in the table, with no hint
+    EXPECT_TRUE(h.node->routing_table().contains(6));
+    // Every peer stays alive (each probe is answered, without a hint)
+    // until at least one scan tick has retuned.
+    for (SimTime end = h.env.now() + cfg.t_rt_max; h.env.now() < end;) {
+      h.env.run_for(milliseconds(100));
+      for (const auto& s : h.env.drain()) {
+        for (const NodeDescriptor& p : peers) {
+          if (s.to != p.addr) continue;
+          if (s.msg->type == MsgType::kLsProbe) {
+            h.receive(p, make_refcounted<pastry::LsProbeMsg>(true));
+          } else if (s.msg->type == MsgType::kRtProbe) {
+            h.receive(p, make_refcounted<pastry::RtProbeMsg>(true));
+          }
+        }
+      }
+    }
+    EXPECT_EQ(h.node->debug_state().failed_set_size, 0u);
+    return h.node->current_trt_seconds();
+  };
+  EXPECT_DOUBLE_EQ(median_after(false), 200.0);
+  EXPECT_DOUBLE_EQ(median_after(true), 600.0);
+}
+
 TEST(NodeGossip, PnsReplacementOnFasterCandidate) {
   NodeHarness h(kSelf);
   h.node->bootstrap();

@@ -330,6 +330,38 @@ TEST(NodeProtocol, HearingFromExcludedNodeLiftsExclusion) {
   EXPECT_EQ(h.node->debug_state().excluded_size, 0u);
 }
 
+TEST(NodeProtocol, LeaveRestartsPeersRtoAtInitial) {
+  // Returns how long after forwarding a lookup to node 1 the first
+  // retransmission goes out, i.e. the RTO in force for node 1.
+  const auto rto_after = [](bool leave) {
+    NodeHarness h(kSelf);
+    h.node->bootstrap();
+    const NodeDescriptor peer = nd(2000, 1);
+    auto rep = make_refcounted<pastry::DistanceReportMsg>();
+    rep->rtt = milliseconds(10);  // seeds the RTT estimator: RTO 30 ms
+    h.receive(peer, std::move(rep));
+    if (leave) h.receive(peer, make_refcounted<pastry::LeaveMsg>());
+    h.receive_ls_probe(peer);  // heard again, back in the leaf set
+    EXPECT_TRUE(h.node->leaf_set().contains(1));
+    h.env.drain();
+    h.node->lookup(NodeId{0, 2001}, 7);
+    const SimTime start = h.env.now();
+    int lookups = 0;
+    while (lookups < 2 && h.env.now() - start < seconds(3)) {
+      for (const auto& s : h.env.drain()) {
+        lookups += s.to == 1 && s.msg->type == MsgType::kLookup;
+      }
+      if (lookups < 2) h.env.run_for(milliseconds(10));
+    }
+    return h.env.now() - start;
+  };
+  const Config cfg;
+  EXPECT_LT(rto_after(false), cfg.rto_initial / 2);
+  const SimDuration restarted = rto_after(true);
+  EXPECT_GE(restarted, cfg.rto_initial);
+  EXPECT_LT(restarted, cfg.rto_initial + milliseconds(20));
+}
+
 // --- Routing-table liveness probing + suppression ------------------------------
 
 TEST(NodeProtocol, RtProbeIsAnswered) {

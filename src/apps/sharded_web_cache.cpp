@@ -1,7 +1,7 @@
 #include "apps/sharded_web_cache.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <string>
 
 namespace mspastry::apps {
 
@@ -38,24 +38,27 @@ std::size_t ShardedWebCacheService::cached_total() const {
   return total;
 }
 
+std::size_t ShardedWebCacheService::cached_on(net::Address a) const {
+  for (const ShardState& s : shards_) {
+    const auto it = s.caches.find(a);
+    if (it != s.caches.end()) return it->second.size();
+  }
+  return 0;
+}
+
 void ShardedWebCacheService::on_run_start(overlay::ShardedDriver&,
                                           std::size_t shards) {
   shards_.assign(shards, ShardState{});
 }
 
 double ShardedWebCacheService::workload_rate(SimTime t) const {
-  return shape_.rate_at(t);
+  return workload_.rate_at(t);
 }
 
 void ShardedWebCacheService::workload_tick(
     const overlay::ShardedDriver::AppNode& node) {
   ShardState& st = shards_[node.shard()];
-  // Same Zipf-like draw as WebWorkload::pick_url, but from the node's own
-  // stream: the URL sequence a node requests is shard-count-invariant.
-  const double u = node.rng().uniform();
-  const int page = static_cast<int>(std::pow(
-                       static_cast<double>(params_.workload.url_count), u)) -
-                   1;
+  const int page = workload_.pick_page(node.rng());
   const NodeId key = url_key(page);
 
   auto data = pastry::make_msg<RequestData>(node.pool());

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -11,15 +10,22 @@
 
 namespace mspastry::apps {
 
-/// WebCacheService's shard-count-invariant sibling: the same Squirrel-like
-/// cooperative web cache (home-node caching, simulated origin fetches),
-/// restructured for the ShardedDriver's app contract:
+/// A Squirrel-like decentralized cooperative web cache (Iyer, Rowstron,
+/// Druschel) — the application used to validate the paper's simulator
+/// (Figure 8). Every participating desktop runs a proxy; a web object's
+/// URL is hashed to a key, and the key's root node is the object's "home
+/// node", responsible for caching it. Requests are routed through
+/// MSPastry to the home node; on a miss the home node fetches from the
+/// origin server (a configurable delay) and caches.
+///
+/// The service runs on the ShardedDriver's app contract, so its results
+/// are byte-identical at any shard count:
 ///  - all mutable state (caches, pending requests, counters) is replicated
 ///    per shard and only touched by the owning worker;
 ///  - request ops are keyed (requester uid, per-requester seq), never a
-///    shared counter, so ids are identical at any shard count;
-///  - URL popularity draws come from the requesting node's own RNG stream
-///    (same Zipf-like sampling formula as WebWorkload::pick_url);
+///    shared counter;
+///  - each node draws its URLs from its own RNG stream
+///    (WebWorkload::pick_page);
 ///  - the request rate is WebWorkload::rate_at — a pure function of time —
 ///    evaluated independently by every shard;
 ///  - request/response payloads implement pastry::CloneableAppData so they
@@ -52,6 +58,9 @@ class ShardedWebCacheService final : public overlay::ShardedApp {
 
   /// Objects cached across all nodes, summed over shards.
   std::size_t cached_total() const;
+
+  /// Objects cached on node `a` (call after the run).
+  std::size_t cached_on(net::Address a) const;
 
   /// The overlay key of workload URL `page` — lets scenarios aim an
   /// eclipse attack at a hot object's home node.
@@ -92,8 +101,7 @@ class ShardedWebCacheService final : public overlay::ShardedApp {
                const RequestData& req, bool was_cached);
 
   Params params_;
-  /// Used only for rate_at (const, draw-free); URL draws use node streams.
-  WebWorkload shape_{params_.workload, /*seed=*/0};
+  WebWorkload workload_{params_.workload};
   std::vector<ShardState> shards_;
 };
 

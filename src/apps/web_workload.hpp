@@ -3,12 +3,13 @@
 // Synthetic web-browsing workload for the Squirrel-style experiments
 // (Figure 8): a non-homogeneous Poisson request process with an
 // office-hours weekday pattern, over a Zipf-like URL popularity
-// distribution. Used by bench/fig8_squirrel and the web_cache example;
+// distribution. Drives apps::ShardedWebCacheService (bench/fig8_squirrel,
+// the web_cache example, the perfbench squirrel workload);
 // parameters documented against the MSR-Cambridge deployment the paper
 // logs (52 machines, 4 weekdays + a weekend).
 
+#include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
@@ -30,11 +31,12 @@ struct WebWorkloadParams {
   int url_count = 2000;
 };
 
-/// Request-rate and URL sampling for the workload.
+/// Request-rate shape and URL popularity of the workload. Both are pure
+/// (the page draw takes the caller's stream), so every node of a sharded
+/// run can evaluate them independently.
 class WebWorkload {
  public:
-  explicit WebWorkload(WebWorkloadParams params, std::uint64_t seed)
-      : params_(params), rng_(seed) {}
+  explicit WebWorkload(WebWorkloadParams params) : params_(params) {}
 
   /// Per-node request rate (requests/second) at simulated time t.
   double rate_at(SimTime t) const {
@@ -52,32 +54,19 @@ class WebWorkload {
            params_.peak_rate_per_node;
   }
 
-  /// Interval until the next request across `nodes` machines at time t
-  /// (thinning is unnecessary because callers re-sample the rate each
-  /// event; the rate changes on the hour scale, events on the second
-  /// scale).
-  SimDuration next_gap(SimTime t, int nodes) {
-    const double rate = std::max(1e-4, rate_at(t)) * nodes;
-    return from_seconds(rng_.exponential(1.0 / rate));
-  }
-
-  /// A URL drawn from the skewed popularity distribution (small indices
-  /// are hot).
-  std::string pick_url() {
-    const double u = rng_.uniform();
-    const int page =
-        static_cast<int>(std::pow(static_cast<double>(params_.url_count),
-                                  u)) -
-        1;
-    return "http://corp/" + std::to_string(std::max(0, page));
+  /// A page index in [0, url_count) drawn from `rng` with the skewed
+  /// popularity distribution (small indices are hot).
+  int pick_page(Rng& rng) const {
+    const double u = rng.uniform();
+    return static_cast<int>(
+               std::pow(static_cast<double>(params_.url_count), u)) -
+           1;
   }
 
   const WebWorkloadParams& params() const { return params_; }
-  Rng& rng() { return rng_; }
 
  private:
   WebWorkloadParams params_;
-  Rng rng_;
 };
 
 }  // namespace mspastry::apps

@@ -7,6 +7,10 @@
 
 namespace mspastry::overlay {
 
+namespace {
+constexpr std::uint64_t kAdvSelectSalt = 0x73656c65ull;  // "sele"
+}  // namespace
+
 const char* to_string(AdversaryBehavior b) {
   switch (b) {
     case AdversaryBehavior::kDrop:
@@ -24,46 +28,6 @@ std::optional<AdversaryBehavior> behavior_from_name(std::string_view name) {
   if (name == "misroute") return AdversaryBehavior::kMisroute;
   if (name == "lie") return AdversaryBehavior::kLie;
   return std::nullopt;
-}
-
-ScriptedAdversary::RouteAction ScriptedAdversary::on_route(
-    const pastry::RoutedMessage&, bool) {
-  if (behavior_ == AdversaryBehavior::kLie || !rng_.chance(strike_)) {
-    return RouteAction::kHonest;
-  }
-  return behavior_ == AdversaryBehavior::kDrop ? RouteAction::kDrop
-                                               : RouteAction::kMisroute;
-}
-
-bool ScriptedAdversary::corrupt_ls_reply(pastry::LeafVec& leaf,
-                                         pastry::FailedVec& failed) {
-  if (behavior_ != AdversaryBehavior::kLie || !rng_.chance(strike_)) {
-    return false;
-  }
-  // Falsely report live leaf-set members as failed: receivers that trust
-  // peer failure claims evict them and end up with stale leaf sets.
-  bool changed = false;
-  for (std::size_t i = 0; i < leaf.size();) {
-    if (rng_.chance(0.5)) {
-      failed.push_back(leaf[i]);
-      leaf.erase(leaf.begin() + static_cast<std::ptrdiff_t>(i));
-      changed = true;
-    } else {
-      ++i;
-    }
-  }
-  return changed;
-}
-
-bool ScriptedAdversary::corrupt_nn_reply(pastry::CandidateVec& candidates) {
-  if (behavior_ != AdversaryBehavior::kLie || !rng_.chance(strike_)) {
-    return false;
-  }
-  // Conceal most of the neighbourhood: the probing node discovers fewer
-  // honest close nodes, slowing leaf-set repair and biasing its view.
-  if (candidates.size() <= 1) return false;
-  candidates.resize(1);
-  return true;
 }
 
 bool KeyedAdversary::chance(double p) {
@@ -88,8 +52,8 @@ bool KeyedAdversary::corrupt_ls_reply(pastry::LeafVec& leaf,
   if (behavior_ != AdversaryBehavior::kLie || !chance(strike_)) {
     return false;
   }
-  // Same lie as ScriptedAdversary: falsely report live leaf-set members
-  // as failed, per-entry coin flips.
+  // Falsely report live leaf-set members as failed: receivers that trust
+  // peer failure claims evict them and end up with stale leaf sets.
   bool changed = false;
   for (std::size_t i = 0; i < leaf.size();) {
     if (chance(0.5)) {
@@ -107,27 +71,46 @@ bool KeyedAdversary::corrupt_nn_reply(pastry::CandidateVec& candidates) {
   if (behavior_ != AdversaryBehavior::kLie || !chance(strike_)) {
     return false;
   }
+  // Conceal most of the neighbourhood: the probing node discovers fewer
+  // honest close nodes, slowing leaf-set repair and biasing its view.
   if (candidates.size() <= 1) return false;
   candidates.resize(1);
   return true;
 }
 
+std::vector<net::Address> select_corrupted(
+    std::vector<net::Address> candidates, double fraction,
+    std::uint64_t seed) {
+  // Rank by a stateless hash of (seed, salt, address), ties by address:
+  // reproducible from the seed alone, independent of shard layout and of
+  // the map iteration order behind a driver's live-node list.
+  const auto rank = [seed](net::Address a) {
+    return mix3(seed, kAdvSelectSalt,
+                static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)));
+  };
+  std::sort(candidates.begin(), candidates.end(),
+            [&](net::Address a, net::Address b) {
+              const std::uint64_t ha = rank(a);
+              const std::uint64_t hb = rank(b);
+              return ha != hb ? ha < hb : a < b;
+            });
+  const auto k = static_cast<std::size_t>(
+      fraction * static_cast<double>(candidates.size()) + 0.5);
+  candidates.resize(std::min(k, candidates.size()));
+  std::sort(candidates.begin(), candidates.end());
+  return candidates;
+}
+
+NodeId sybil_id(NodeId victim, int i) {
+  const U128 offset = U128{0, static_cast<std::uint64_t>(i / 2 + 1)} << 104;
+  return NodeId{i % 2 == 0 ? victim.value() + offset
+                           : victim.value() - offset};
+}
+
 std::vector<net::Address> AdversaryController::corrupt_fraction(
     double fraction) {
-  auto addrs = driver_.live_addresses();
-  std::sort(addrs.begin(), addrs.end());
-  // Deterministic Fisher-Yates from the controller seed, then take the
-  // prefix: the corrupted set is reproducible and independent of the
-  // unordered-map iteration order behind live_addresses().
-  Rng pick(seed_ ^ 0x5bd1e995u);
-  for (std::size_t i = addrs.size(); i > 1; --i) {
-    std::swap(addrs[i - 1], addrs[pick.uniform_index(i)]);
-  }
-  const auto n = static_cast<std::size_t>(
-      fraction * static_cast<double>(addrs.size()) + 0.5);
-  std::vector<net::Address> chosen(addrs.begin(),
-                                   addrs.begin() + std::min(n, addrs.size()));
-  std::sort(chosen.begin(), chosen.end());
+  const auto chosen =
+      select_corrupted(driver_.live_addresses(), fraction, seed_);
   for (const net::Address a : chosen) corrupt(a);
   return chosen;
 }
@@ -135,27 +118,17 @@ std::vector<net::Address> AdversaryController::corrupt_fraction(
 void AdversaryController::corrupt(net::Address a) {
   pastry::PastryNode* n = driver_.node(a);
   if (n == nullptr || policies_.count(a) > 0) return;
-  auto policy = std::make_unique<ScriptedAdversary>(
-      behavior_, strike_,
-      seed_ ^ (static_cast<std::uint64_t>(a) * 0x9e3779b97f4a7c15ull));
+  auto policy = std::make_unique<KeyedAdversary>(behavior_, strike_, seed_, a);
   n->set_adversary(policy.get());
   policies_.emplace(a, std::move(policy));
 }
 
 std::vector<net::Address> AdversaryController::join_eclipse_cluster(
     NodeId victim, int count, SimDuration join_gap) {
-  // Sybil ids alternate clockwise/counter-clockwise at a spacing of
-  // 2^104 — astronomically denser than honest spacing (~2^128 / N), so
-  // an unchecked victim ends up with sybils for leaf-set neighbours and
-  // prefix-matching routes funnel through the cluster.
   std::vector<net::Address> joined;
   joined.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
-    const U128 offset =
-        U128{0, static_cast<std::uint64_t>(i / 2 + 1)} << 104;  // k * 2^104
-    const U128 id = (i % 2 == 0) ? victim.value() + offset
-                                 : victim.value() - offset;
-    const net::Address a = driver_.add_node_with_id(NodeId{id});
+    const net::Address a = driver_.add_node_with_id(sybil_id(victim, i));
     // join_gap 0 supports arming from inside a scheduled callback, where
     // re-entering the simulator loop would be unsound.
     if (join_gap > 0) driver_.run_for(join_gap);

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "overlay/driver.hpp"
 #include "pastry/adversary.hpp"
 
@@ -26,35 +25,13 @@ const char* to_string(AdversaryBehavior b);
 std::optional<AdversaryBehavior> behavior_from_name(std::string_view name);
 
 /// Seeded per-node Byzantine policy: at each interception point the node
-/// strikes with probability `strike` (1.0 = always-on adversary). Each
-/// policy owns its RNG stream, so adversarial decisions are reproducible
-/// from the scenario seed and independent of honest-path RNG draws.
-class ScriptedAdversary final : public pastry::AdversaryPolicy {
- public:
-  ScriptedAdversary(AdversaryBehavior behavior, double strike,
-                    std::uint64_t seed)
-      : behavior_(behavior), strike_(strike), rng_(seed) {}
-
-  RouteAction on_route(const pastry::RoutedMessage& m,
-                       bool leaf_covers) override;
-  bool corrupt_ls_reply(pastry::LeafVec& leaf,
-                        pastry::FailedVec& failed) override;
-  bool corrupt_nn_reply(pastry::CandidateVec& candidates) override;
-
- private:
-  AdversaryBehavior behavior_;
-  double strike_;
-  Rng rng_;
-};
-
-/// ScriptedAdversary's shard-count-invariant sibling, used by the
-/// ShardedDriver. Same behaviors, but every decision is a *stateless*
-/// draw keyed (adversary seed, this node's address, intercept seq) via
-/// common/hash_mix.hpp — the per-node intercept sequence is itself
-/// shard-count-invariant (a node's local event order never depends on
-/// the partition), so the corruption schedule is byte-identical at any
-/// shard count, unlike a shared mt19937 stream whose draws interleave
-/// across nodes.
+/// strikes with probability `strike` (1.0 = always-on adversary). Every
+/// decision is a *stateless* draw keyed (adversary seed, this node's
+/// address, intercept seq) via common/hash_mix.hpp. The per-node
+/// intercept sequence is itself shard-count-invariant (a node's local
+/// event order never depends on the partition), so the corruption
+/// schedule is reproducible from the scenario seed, independent of
+/// honest-path RNG draws, and byte-identical at any shard count.
 class KeyedAdversary final : public pastry::AdversaryPolicy {
  public:
   KeyedAdversary(AdversaryBehavior behavior, double strike,
@@ -81,6 +58,21 @@ class KeyedAdversary final : public pastry::AdversaryPolicy {
   std::uint64_t seq_ = 0;
 };
 
+/// The round(fraction * N) of the N `candidates` that an adversary with
+/// `seed` corrupts: the candidates with the smallest stateless hashes of
+/// (seed, address). The set depends only on the seed and the candidate
+/// set, never on the candidates' order. Returned sorted.
+std::vector<net::Address> select_corrupted(
+    std::vector<net::Address> candidates, double fraction,
+    std::uint64_t seed);
+
+/// Id of sybil `i` (0-based) in an eclipse cluster around `victim`: ids
+/// alternate clockwise and counter-clockwise at victim ± k·2^104,
+/// k = i/2 + 1 — far denser than honest spacing (~2^128 / N), so an
+/// unchecked victim ends up with sybils for leaf-set neighbours and
+/// prefix-matching routes funnel through the cluster.
+NodeId sybil_id(NodeId victim, int i);
+
 /// Owns the adversarial population of one driver run: installs policies
 /// on existing nodes (a corrupted fraction f) or joins sybil nodes whose
 /// ids cluster around a victim key (an eclipse attack). The controller
@@ -96,17 +88,17 @@ class AdversaryController {
   AdversaryController(const AdversaryController&) = delete;
   AdversaryController& operator=(const AdversaryController&) = delete;
 
-  /// Corrupt a deterministic pseudo-random `fraction` of the currently
-  /// live nodes. Returns the addresses corrupted (sorted).
+  /// Corrupt round(fraction * N) of the N currently live nodes, chosen by
+  /// select_corrupted. Returns the addresses corrupted (sorted).
   std::vector<net::Address> corrupt_fraction(double fraction);
 
   /// Install a policy on one specific node (no-op if dead or already
   /// corrupted).
   void corrupt(net::Address a);
 
-  /// Join `count` sybil nodes whose ids alternate tightly around the
-  /// victim key (far denser than honest id spacing), running the driver
-  /// `join_gap` per join so each completes the normal join protocol.
+  /// Join `count` sybil nodes with ids sybil_id(victim, 0..count-1),
+  /// running the driver `join_gap` per join so each completes the normal
+  /// join protocol.
   /// Returns the sybil addresses in join order.
   std::vector<net::Address> join_eclipse_cluster(NodeId victim, int count,
                                                  SimDuration join_gap);
@@ -132,7 +124,7 @@ class AdversaryController {
   AdversaryBehavior behavior_;
   double strike_;
   std::uint64_t seed_;
-  std::unordered_map<net::Address, std::unique_ptr<ScriptedAdversary>>
+  std::unordered_map<net::Address, std::unique_ptr<KeyedAdversary>>
       policies_;
   std::vector<net::Address> sybils_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <numeric>
 
 #include "common/hash_mix.hpp"
 
@@ -21,7 +22,6 @@ constexpr std::uint64_t kLossSalt = 0x6c6f7373ull;      // "loss"
 constexpr std::uint64_t kJitterSalt = 0x6a697474ull;    // "jitt"
 constexpr std::uint64_t kDitherSalt = 0x64697468ull;    // "dith"
 constexpr std::uint64_t kNodeSalt = 0x6e6f6465ull;      // "node"
-constexpr std::uint64_t kAdvSelectSalt = 0x73656c65ull; // "sele"
 constexpr std::uint64_t kAdvSybilSalt = 0x73796269ull;  // "sybi"
 
 /// Honest-rooted key redraws (below) and the bench probe conventions cap
@@ -814,36 +814,24 @@ void ShardedDriver::run_trace(const trace::ChurnTrace& trace,
   const std::size_t n_trace = sessions_.size();
   if (adv_) {
     if (adv_->fraction > 0.0) {
-      // Rank trace sessions by a stateless hash of (adversary seed, salt,
-      // uid) and corrupt the round(f*N) smallest — reproducible from the
-      // seeds alone, independent of shard layout and map iteration order.
-      std::vector<std::uint32_t> rank(n_trace);
-      for (std::uint32_t i = 0; i < n_trace; ++i) rank[i] = i;
-      std::sort(rank.begin(), rank.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  const std::uint64_t ha = mix3(adv_->seed, kAdvSelectSalt, a);
-                  const std::uint64_t hb = mix3(adv_->seed, kAdvSelectSalt, b);
-                  return ha != hb ? ha < hb : a < b;
-                });
-      const auto k = static_cast<std::size_t>(
-          adv_->fraction * static_cast<double>(n_trace) + 0.5);
-      for (std::size_t i = 0; i < std::min(k, n_trace); ++i) {
-        sessions_[rank[i]].adversarial = true;
+      // The same hash-rank selection as AdversaryController, over trace
+      // session uids: reproducible from the seeds alone, independent of
+      // shard layout.
+      std::vector<net::Address> uids(n_trace);
+      std::iota(uids.begin(), uids.end(), 0);
+      for (const net::Address a :
+           select_corrupted(std::move(uids), adv_->fraction, adv_->seed)) {
+        sessions_[static_cast<std::size_t>(a)].adversarial = true;
       }
     }
-    // Eclipse sybils: extra sessions that join at arm time with ids
-    // alternating ±k·2^104 around the victim, the same clustering the
-    // serial AdversaryController::join_eclipse_cluster produces.
+    // Eclipse sybils: extra sessions that join at arm time with the same
+    // ids AdversaryController::join_eclipse_cluster gives its sybils.
     Rng sybil_setup(mix3(adv_->seed, kAdvSybilSalt, 0));
     for (int i = 0; i < adv_->eclipse_sybils; ++i) {
-      const U128 offset =
-          U128{0, static_cast<std::uint64_t>(i / 2 + 1)} << 104;
-      const U128 id = (i % 2 == 0) ? adv_->eclipse_victim.value() + offset
-                                   : adv_->eclipse_victim.value() - offset;
       Session sy;
       sy.first_join = adv_->arm_at;
       sy.router = attachable[sybil_setup.uniform_index(attachable.size())];
-      sy.id = NodeId{id};
+      sy.id = sybil_id(adv_->eclipse_victim, i);
       sy.adversarial = true;
       sy.sybil = true;
       sybils_.push_back(static_cast<net::Address>(sessions_.size()));

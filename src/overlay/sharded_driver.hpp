@@ -41,17 +41,17 @@ class ConfigError : public std::runtime_error {
 /// corruption schedule is byte-identical at any shard count.
 struct ShardedAdversaryConfig {
   AdversaryBehavior behavior = AdversaryBehavior::kDrop;
-  /// Fraction of trace sessions corrupted: the round(f*N) sessions with
-  /// the smallest selection hashes (exact count, like the serial
-  /// controller's shuffle prefix).
+  /// Fraction of trace sessions corrupted: round(f*N) of them, chosen by
+  /// select_corrupted over session uids (as AdversaryController does
+  /// over live addresses).
   double fraction = 0.0;
   double strike = 1.0;
   /// Policies install at this instant (typically warmup end, matching
   /// the serial benches that corrupt after the overlay settles); sybil
   /// joins are scheduled here too. Sessions created later arm on join.
   SimTime arm_at = 0;
-  /// Sybil sessions joined around eclipse_victim at arm_at, ids
-  /// alternating ± k*2^104 like AdversaryController::join_eclipse_cluster.
+  /// Sybil sessions joined around eclipse_victim at arm_at, with ids
+  /// sybil_id(eclipse_victim, i) like AdversaryController's sybils.
   int eclipse_sybils = 0;
   NodeId eclipse_victim;
   std::uint64_t seed = 0;

@@ -147,4 +147,11 @@ inline pastry::NodeDescriptor nd(std::uint64_t lo, net::Address addr) {
   return pastry::NodeDescriptor{NodeId{0, lo}, addr};
 }
 
+/// A peer whose id occupies routing-table slot (0, digit) relative to a
+/// node built with nd() (whose first hex digit is 0).
+inline pastry::NodeDescriptor rt_peer(unsigned digit, net::Address addr) {
+  return pastry::NodeDescriptor{
+      NodeId{static_cast<std::uint64_t>(digit) << 60, 1}, addr};
+}
+
 }  // namespace mspastry::testing

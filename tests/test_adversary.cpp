@@ -1,5 +1,5 @@
-// The adversary subsystem: scripted Byzantine behaviors, the controller's
-// deterministic population management, eclipse clustering vs the density
+// The adversary subsystem: keyed Byzantine behaviors, the shared
+// corrupted-set selection, the controller's population management, eclipse clustering vs the density
 // countermeasure, diverse-path redundancy vs interception, the
 // delivered-at-oracle-root expectation rule, and composition with network
 // fault rules (oracle accounting identity, no false verdicts at f=0).
@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -22,7 +23,7 @@ namespace {
 
 using overlay::AdversaryBehavior;
 using overlay::AdversaryController;
-using overlay::ScriptedAdversary;
+using overlay::KeyedAdversary;
 using RouteAction = pastry::AdversaryPolicy::RouteAction;
 
 std::shared_ptr<net::Topology> small_topology() {
@@ -117,15 +118,15 @@ struct ProbeBoard {
   }
 };
 
-// ------------------------------------------------------ scripted behaviors
+// --------------------------------------------------------- keyed behaviors
 
-TEST(ScriptedAdversary, BehaviorsMapToRouteActions) {
+TEST(KeyedAdversary, BehaviorsMapToRouteActions) {
   pastry::MessagePool pool;
   auto m = pastry::make_msg<pastry::LookupMsg>(pool);
-  ScriptedAdversary drop(AdversaryBehavior::kDrop, 1.0, 1);
-  ScriptedAdversary misroute(AdversaryBehavior::kMisroute, 1.0, 1);
-  ScriptedAdversary lie(AdversaryBehavior::kLie, 1.0, 1);
-  ScriptedAdversary passive(AdversaryBehavior::kDrop, 0.0, 1);
+  KeyedAdversary drop(AdversaryBehavior::kDrop, 1.0, 1, 4);
+  KeyedAdversary misroute(AdversaryBehavior::kMisroute, 1.0, 1, 4);
+  KeyedAdversary lie(AdversaryBehavior::kLie, 1.0, 1, 4);
+  KeyedAdversary passive(AdversaryBehavior::kDrop, 0.0, 1, 4);
   EXPECT_EQ(drop.on_route(*m, false), RouteAction::kDrop);
   EXPECT_EQ(misroute.on_route(*m, true), RouteAction::kMisroute);
   // Liars route faithfully — their damage is in control-plane replies.
@@ -134,13 +135,13 @@ TEST(ScriptedAdversary, BehaviorsMapToRouteActions) {
   EXPECT_EQ(passive.on_route(*m, false), RouteAction::kHonest);
 }
 
-TEST(ScriptedAdversary, LiarCorruptsRepliesOthersDoNot) {
+TEST(KeyedAdversary, LiarCorruptsRepliesOthersDoNot) {
   pastry::LeafVec leaf;
   for (std::uint64_t i = 1; i <= 8; ++i) {
     leaf.push_back({NodeId{0, i << 8}, static_cast<net::Address>(i)});
   }
   pastry::FailedVec failed;
-  ScriptedAdversary lie(AdversaryBehavior::kLie, 1.0, 7);
+  KeyedAdversary lie(AdversaryBehavior::kLie, 1.0, 7, 4);
   EXPECT_TRUE(lie.corrupt_ls_reply(leaf, failed));
   // False death claims: entries moved wholesale from live to failed.
   EXPECT_FALSE(failed.empty());
@@ -153,11 +154,38 @@ TEST(ScriptedAdversary, LiarCorruptsRepliesOthersDoNot) {
   EXPECT_TRUE(lie.corrupt_nn_reply(cands));
   EXPECT_EQ(cands.size(), 1u);  // neighbourhood concealed
 
-  ScriptedAdversary drop(AdversaryBehavior::kDrop, 1.0, 7);
+  KeyedAdversary drop(AdversaryBehavior::kDrop, 1.0, 7, 4);
   pastry::LeafVec leaf2 = cands.empty() ? pastry::LeafVec{} : leaf;
   pastry::FailedVec failed2;
   EXPECT_FALSE(drop.corrupt_ls_reply(leaf2, failed2));
   EXPECT_TRUE(failed2.empty());
+}
+
+// ------------------------------------------------- corrupted-set selection
+
+TEST(AdversarySelection, ExactCountSameSetForSeedWhateverTheOrder) {
+  std::vector<net::Address> addrs;
+  for (net::Address a = 0; a < 40; ++a) addrs.push_back(a * 3 + 1);
+  const auto chosen = overlay::select_corrupted(addrs, 0.2, 42);
+  EXPECT_EQ(chosen.size(), 8u);  // round(0.2 * 40)
+  EXPECT_TRUE(std::is_sorted(chosen.begin(), chosen.end()));
+  for (const auto a : chosen) {
+    EXPECT_NE(std::find(addrs.begin(), addrs.end(), a), addrs.end());
+  }
+  // round(), not truncation: 0.25 * 30 = 7.5 -> 8; 0.75 * 30 = 22.5 -> 23.
+  const std::vector<net::Address> thirty(addrs.begin(), addrs.begin() + 30);
+  EXPECT_EQ(overlay::select_corrupted(thirty, 0.25, 42).size(), 8u);
+  EXPECT_EQ(overlay::select_corrupted(thirty, 0.75, 42).size(), 23u);
+  EXPECT_TRUE(overlay::select_corrupted(addrs, 0.0, 42).empty());
+  EXPECT_EQ(overlay::select_corrupted(addrs, 1.0, 42).size(), 40u);
+
+  // The candidates' order does not matter, the seed does.
+  std::vector<net::Address> reversed(addrs.rbegin(), addrs.rend());
+  std::vector<net::Address> rotated(addrs.begin() + 17, addrs.end());
+  rotated.insert(rotated.end(), addrs.begin(), addrs.begin() + 17);
+  EXPECT_EQ(overlay::select_corrupted(reversed, 0.2, 42), chosen);
+  EXPECT_EQ(overlay::select_corrupted(rotated, 0.2, 42), chosen);
+  EXPECT_NE(overlay::select_corrupted(addrs, 0.2, 43), chosen);
 }
 
 // ----------------------------------------------------------- the controller

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "apps/app_mux.hpp"
 #include "apps/kv_store.hpp"
 #include "apps/multicast.hpp"
-#include "apps/web_cache.hpp"
+#include "apps/sharded_web_cache.hpp"
 #include "net/transit_stub.hpp"
 #include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 namespace mspastry {
 namespace {
@@ -173,71 +176,89 @@ TEST(KvStore, RepairSurvivesSequentialRootFailures) {
 
 // --- Web cache (Squirrel-like) -----------------------------------------------
 
+// `nodes` proxies join at t = 0 and browse for 20 minutes on one shard;
+// the cache is inspected after the run. Time 0 is off-hours, so the
+// request rate is off_hours_floor * peak_rate_per_node per node.
+std::unique_ptr<overlay::ShardedDriver> browse(
+    apps::ShardedWebCacheService& cache, std::uint64_t seed, int nodes) {
+  DriverConfig cfg;
+  cfg.lookup_rate_per_node = 0.0;  // the cache drives all lookups
+  cfg.warmup = 0;
+  cfg.seed = seed;
+  auto driver = std::make_unique<overlay::ShardedDriver>(
+      std::make_shared<net::TransitStubTopology>(
+          net::TransitStubParams::scaled(3, 3, 4)),
+      net::NetworkConfig{}, cfg, 1);
+  driver->attach_app(&cache);
+  std::vector<trace::ChurnEvent> joins;
+  for (int i = 0; i < nodes; ++i) {
+    joins.push_back({0, i, trace::ChurnEventType::kJoin});
+  }
+  driver->run_trace(trace::ChurnTrace(std::move(joins), "office"),
+                    minutes(20));
+  return driver;
+}
+
+// One hot object: every request is for page 0.
+apps::ShardedWebCacheService::Params one_url() {
+  apps::ShardedWebCacheService::Params params;
+  params.workload.url_count = 1;
+  return params;
+}
+
 TEST(WebCache, FirstRequestMissesThenHits) {
-  AppFixture f(66, 25);
-  apps::AppMux mux(*f.driver);
-  apps::WebCacheService cache(*f.driver);
-  mux.attach(cache);
-  cache.request(f.random_node(), "http://example.com/a");
-  f.driver->run_for(seconds(10));
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  cache.request(f.random_node(), "http://example.com/a");
-  f.driver->run_for(seconds(10));
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().responses, 2u);
+  apps::ShardedWebCacheService cache(one_url());
+  browse(cache, 66, 25);
+  const auto st = cache.stats();
+  EXPECT_GT(st.requests, 5u);
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.hits, st.requests - 1);
+  EXPECT_EQ(st.responses, st.requests);
 }
 
 TEST(WebCache, HitIsFasterThanMiss) {
-  AppFixture f(67, 25);
-  apps::AppMux mux(*f.driver);
-  apps::WebCacheService::Params params;
+  auto params = one_url();
   params.origin_delay = milliseconds(500);
-  apps::WebCacheService cache(*f.driver, params);
-  mux.attach(cache);
-  const auto requester = f.random_node();
-  cache.request(requester, "http://slow.example/x");
-  f.driver->run_for(seconds(10));
-  const double miss_latency = cache.latencies().samples().back();
-  cache.request(requester, "http://slow.example/x");
-  f.driver->run_for(seconds(10));
-  const double hit_latency = cache.latencies().samples().back();
-  EXPECT_LT(hit_latency, miss_latency);
-  EXPECT_GE(miss_latency, 0.5);  // includes the origin fetch
+  apps::ShardedWebCacheService cache(params);
+  const auto driver = browse(cache, 67, 25);
+  const auto& samples = driver->app_latency_samples();
+  ASSERT_EQ(samples.size(), cache.stats().responses);
+  // Exactly the misses pay the origin fetch; every hit is faster.
+  const auto slow = std::count_if(samples.begin(), samples.end(),
+                                  [](double s) { return s >= 0.5; });
+  EXPECT_EQ(static_cast<std::uint64_t>(slow), cache.stats().misses);
+  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 TEST(WebCache, SameUrlCachedOnSingleHomeNode) {
-  AppFixture f(68, 25);
-  apps::AppMux mux(*f.driver);
-  apps::WebCacheService cache(*f.driver);
-  mux.attach(cache);
-  for (int i = 0; i < 10; ++i) {
-    cache.request(f.random_node(), "http://one.example/page");
-    f.driver->run_for(seconds(2));
-  }
+  apps::ShardedWebCacheService cache(one_url());
+  const auto driver = browse(cache, 68, 25);
+  const auto home =
+      driver->oracle().root_of(apps::ShardedWebCacheService::url_key(0));
+  ASSERT_TRUE(home.has_value());
   int holders = 0;
-  for (const auto a : f.driver->live_addresses()) {
+  for (net::Address a = 0; a < 25; ++a) {
     if (cache.cached_on(a) > 0) ++holders;
   }
   EXPECT_EQ(holders, 1);  // exactly the home node
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 9u);
+  EXPECT_EQ(cache.cached_on(*home), 1u);
+  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 TEST(WebCache, CapacityEvicts) {
-  AppFixture f(69, 10);
-  apps::AppMux mux(*f.driver);
-  apps::WebCacheService::Params params;
+  apps::ShardedWebCacheService::Params params;
   params.capacity = 3;
-  apps::WebCacheService cache(*f.driver, params);
-  mux.attach(cache);
-  for (int i = 0; i < 30; ++i) {
-    cache.request(f.random_node(), "http://u" + std::to_string(i) + "/");
-    f.driver->run_for(seconds(1));
-  }
-  for (const auto a : f.driver->live_addresses()) {
+  params.workload.peak_rate_per_node = 1.0;  // 0.05 requests/s per node
+  apps::ShardedWebCacheService cache(params);
+  browse(cache, 69, 10);
+  std::size_t largest = 0;
+  for (net::Address a = 0; a < 10; ++a) {
     EXPECT_LE(cache.cached_on(a), 3u);
+    largest = std::max(largest, cache.cached_on(a));
   }
+  EXPECT_EQ(largest, 3u);
+  // More objects were fetched than are still cached: some were evicted.
+  EXPECT_GT(cache.stats().misses, cache.cached_total());
 }
 
 // --- Multicast (Scribe-like) --------------------------------------------------

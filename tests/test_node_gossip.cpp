@@ -14,15 +14,9 @@ using pastry::MsgType;
 using pastry::NodeDescriptor;
 using testing::nd;
 using testing::NodeHarness;
+using testing::rt_peer;
 
 const NodeDescriptor kSelf = nd(1000, 0);
-
-// A peer whose id occupies routing-table slot (0, c) relative to kSelf
-// (kSelf's first hex digit is 0).
-NodeDescriptor rt_peer(unsigned digit, net::Address addr) {
-  return NodeDescriptor{NodeId{static_cast<std::uint64_t>(digit) << 60, 1},
-                        addr};
-}
 
 /// Feed a row announcement containing `peers` for row 0.
 void announce_row(NodeHarness& h, const NodeDescriptor& from,

@@ -16,6 +16,7 @@ using pastry::MsgType;
 using pastry::NodeDescriptor;
 using testing::nd;
 using testing::NodeHarness;
+using testing::rt_peer;
 
 const NodeDescriptor kSelf = nd(1000, 0);
 
@@ -517,21 +518,49 @@ TEST(NodeProtocol, SelfTuningOffSendsNoHints) {
 }
 
 TEST(NodeProtocol, MedianOfGossipedTrtHints) {
-  NodeHarness h(kSelf);
-  h.node->bootstrap();
-  // Three leaf members gossiping hints 100 s, 200 s, 900 s: the median
-  // ends up between the clamps and near 200 s once retune runs.
-  const double hints[] = {100.0, 200.0, 900.0};
-  for (int i = 0; i < 3; ++i) {
-    auto m = make_refcounted<LsProbeMsg>(false);
-    m->trt_hint_s = hints[i];
-    m->sender = nd(1010 + static_cast<std::uint64_t>(i), i + 1);
-    h.node->handle(i + 1, m);
-  }
-  h.env.run_for(minutes(2));  // let a scan tick retune
-  // Own estimate is t_rt_max-ish (no observed failures) so the median of
-  // {own, 100, 200, 900} is one of the middle values.
-  EXPECT_GE(h.node->current_trt_seconds(), 200.0);
+  // Three routing-table peers gossip hints 100 s, 150 s and 400 s. The
+  // own estimate is t_rt_max = 600 s (no observed failures), so the
+  // median of {600, 100, 150, 400} is 400 s; a node that heard no hints
+  // keeps 600 s.
+  const auto trt_after = [](bool hints) {
+    Config cfg;
+    cfg.t_rt_max = minutes(10);  // own estimate; first scan within it
+    NodeHarness h(kSelf, cfg);
+    h.node->bootstrap();
+    // A hint-less leaf member keeps the leaf set non-empty, so the table
+    // peers stay out of it and each hint is counted once.
+    const NodeDescriptor peers[] = {rt_peer(7, 5), rt_peer(9, 6),
+                                    rt_peer(11, 7), nd(1010, 3)};
+    const double hint_s[] = {100.0, 150.0, 400.0};
+    h.receive_ls_probe(peers[3]);
+    for (int i = 0; i < 3; ++i) {
+      auto m = make_refcounted<pastry::DistanceReportMsg>();
+      m->rtt = milliseconds(10);
+      m->trt_hint_s = hints ? hint_s[i] : 0.0;
+      h.receive(peers[i], std::move(m));
+      EXPECT_TRUE(h.node->routing_table().contains(peers[i].addr));
+    }
+    // Every peer stays alive (each probe is answered, without a hint)
+    // until at least one scan tick has retuned.
+    for (SimTime end = h.env.now() + cfg.t_rt_max; h.env.now() < end;) {
+      h.env.run_for(milliseconds(100));
+      for (const auto& s : h.env.drain()) {
+        for (const NodeDescriptor& p : peers) {
+          if (s.to != p.addr) continue;
+          if (s.msg->type == MsgType::kLsProbe) {
+            h.receive(p, make_refcounted<LsProbeMsg>(true));
+          } else if (s.msg->type == MsgType::kRtProbe) {
+            h.receive(p, make_refcounted<pastry::RtProbeMsg>(true));
+          }
+        }
+      }
+    }
+    EXPECT_EQ(h.node->leaf_set().size(), 1);
+    EXPECT_EQ(h.node->debug_state().failed_set_size, 0u);
+    return h.node->current_trt_seconds();
+  };
+  EXPECT_DOUBLE_EQ(trt_after(false), 600.0);
+  EXPECT_DOUBLE_EQ(trt_after(true), 400.0);
 }
 
 }  // namespace

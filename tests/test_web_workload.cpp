@@ -7,12 +7,10 @@
 namespace mspastry::apps {
 namespace {
 
-WebWorkload make(std::uint64_t seed = 1) {
-  return WebWorkload(WebWorkloadParams{}, seed);
-}
+WebWorkload make() { return WebWorkload(WebWorkloadParams{}); }
 
 TEST(WebWorkload, WeekdayOfficeHoursPeak) {
-  auto w = make();
+  const auto w = make();
   // Day 0 is a Thursday (weekday). 13:30 is near the office-hours peak;
   // 03:00 is the floor.
   const double peak = w.rate_at(hours(13.5));
@@ -22,7 +20,7 @@ TEST(WebWorkload, WeekdayOfficeHoursPeak) {
 }
 
 TEST(WebWorkload, WeekendIsQuiet) {
-  auto w = make();
+  const auto w = make();
   // Start Thursday: day 2 = Saturday.
   const double thursday_noon = w.rate_at(hours(12));
   const double saturday_noon = w.rate_at(days(2) + hours(12));
@@ -30,39 +28,29 @@ TEST(WebWorkload, WeekendIsQuiet) {
 }
 
 TEST(WebWorkload, WeeklyPatternRepeats) {
-  auto w = make();
+  const auto w = make();
   const double a = w.rate_at(hours(14));
   const double b = w.rate_at(days(7) + hours(14));
   EXPECT_DOUBLE_EQ(a, b);
 }
 
 TEST(WebWorkload, RateNeverZero) {
-  auto w = make();
+  const auto w = make();
   for (double h = 0; h < 24 * 7; h += 0.5) {
     EXPECT_GT(w.rate_at(hours(h)), 0.0) << "hour " << h;
   }
 }
 
-TEST(WebWorkload, GapsAreExponentialWithRate) {
-  auto w = make(7);
-  // At a fixed time, mean gap ~= 1 / (rate * nodes).
-  const SimTime t = hours(13);  // near peak
-  const double rate = w.rate_at(t) * 52;
-  double sum = 0;
-  const int n = 5000;
-  for (int i = 0; i < n; ++i) sum += to_seconds(w.next_gap(t, 52));
-  EXPECT_NEAR(sum / n, 1.0 / rate, 0.1 / rate);
-}
-
 TEST(WebWorkload, UrlPopularityIsSkewed) {
-  auto w = make(9);
-  std::map<std::string, int> counts;
+  const auto w = make();
+  Rng rng(9);
+  std::map<int, int> counts;
   const int n = 20000;
-  for (int i = 0; i < n; ++i) counts[w.pick_url()]++;
-  // The hottest URL should dwarf the per-URL uniform share, and the
+  for (int i = 0; i < n; ++i) counts[w.pick_page(rng)]++;
+  // The hottest page should dwarf the per-page uniform share, and the
   // universe should still be broad.
   int hottest = 0;
-  for (const auto& [url, c] : counts) hottest = std::max(hottest, c);
+  for (const auto& [page, c] : counts) hottest = std::max(hottest, c);
   EXPECT_GT(hottest, 20 * n / w.params().url_count);
   EXPECT_GT(counts.size(), 200u);
 }
@@ -70,10 +58,10 @@ TEST(WebWorkload, UrlPopularityIsSkewed) {
 TEST(WebWorkload, UrlsStayInUniverse) {
   WebWorkloadParams p;
   p.url_count = 10;
-  WebWorkload w(p, 11);
+  const WebWorkload w(p);
+  Rng rng(11);
   for (int i = 0; i < 1000; ++i) {
-    const std::string url = w.pick_url();
-    const int page = std::stoi(url.substr(url.rfind('/') + 1));
+    const int page = w.pick_page(rng);
     EXPECT_GE(page, 0);
     EXPECT_LT(page, 10);
   }

@@ -14,7 +14,7 @@
 //   --population=100000 the N = 100k tier: a single fig4 slice on the
 //                       paper-size 5050-router GATech graph (landmark
 //                       delay-oracle mode), emitted to BENCH_scale100k.json
-//   --shards=S          overlay slices on the sharded engine
+//   --shards=S          worker shards for the overlay slices (default 1)
 //   --per-pair-lookahead widen epochs via Topology::min_delay_between
 //   --check-hops=TOL    trace a sample of lookups and run the obs
 //                       expectation rules, including R7 (analytic mean
@@ -25,7 +25,6 @@
 
 #include "bench_util.hpp"
 #include "obs/expectations.hpp"
-#include "overlay/sharded_driver.hpp"
 
 using namespace mspastry;
 using namespace mspastry::bench;
@@ -40,9 +39,8 @@ int g_expectation_failures = 0;
 struct Phase {
   /// What ran, and therefore which telemetry fields mean anything:
   /// kTraceOnly phases have no overlay (no arena, no live nodes beyond
-  /// what the trace itself says), kSharded phases have per-shard arenas
-  /// (reported via shard/epoch telemetry instead of one arena's rows).
-  enum class Kind { kTraceOnly, kOverlay, kSharded };
+  /// what the trace itself says).
+  enum class Kind { kTraceOnly, kOverlay };
 
   std::string name;
   std::string params;
@@ -53,11 +51,8 @@ struct Phase {
   std::uint64_t peak_rss = 0;  ///< process peak at phase end (monotone)
   std::uint64_t digest = 0;
   std::uint64_t live_nodes = 0;  ///< slice end: overlay- or trace-derived
-  std::uint64_t arena_rows = 0;
-  std::uint64_t arena_bytes = 0;
-  std::uint64_t timer_arena_slots = 0;
-  std::uint64_t parked_timers = 0;
-  std::size_t shards = 0;        ///< kSharded only
+  overlay::ShardedDriver::ArenaStats arena;  ///< summed over shards
+  std::size_t shards = 0;
   std::size_t effective_shards = 0;
   std::uint64_t epochs = 0;
   net::DelayCacheStats delay_cache;  ///< overlay phases: oracle telemetry
@@ -76,21 +71,18 @@ void emit_phase(JsonEmitter& out, const Phase& p) {
                          static_cast<double>(p.peak_rss) / (1024 * 1024))
                   .hex("digest", p.digest)
                   .field("live_nodes", p.live_nodes);
-  // Arena/timer telemetry only exists where a (single) overlay ran;
-  // emitting zeros for trace-only phases reads as "empty arena", which is
-  // not a fact this phase measured.
+  // Arena/timer telemetry only exists where an overlay ran; emitting
+  // zeros for trace-only phases reads as "empty arena", which is not a
+  // fact this phase measured.
   if (p.kind == Phase::Kind::kOverlay) {
-    row.field("arena_rows", p.arena_rows)
-        .field("arena_bytes", p.arena_bytes)
-        .field("timer_arena_slots", p.timer_arena_slots)
-        .field("parked_timers", p.parked_timers);
-  } else if (p.kind == Phase::Kind::kSharded) {
-    row.field("shards", p.shards)
+    row.field("arena_rows", p.arena.rows)
+        .field("arena_bytes", p.arena.bytes)
+        .field("timer_arena_slots", p.arena.timer_slots)
+        .field("parked_timers", p.arena.parked_timers)
+        .field("shards", p.shards)
         .field("effective_shards", p.effective_shards)
-        .field("epochs", p.epochs);
-  }
-  if (p.kind != Phase::Kind::kTraceOnly) {
-    row.field("rdp", p.summary.rdp)
+        .field("epochs", p.epochs)
+        .field("rdp", p.summary.rdp)
         .field("control_traffic", p.summary.control_traffic)
         .field("loss_rate", p.summary.loss_rate)
         .field("lookups", p.summary.lookups)
@@ -112,7 +104,7 @@ void emit_phase(JsonEmitter& out, const Phase& p) {
       p.name.c_str(), p.wall_seconds, p.executed_events / 1e6,
       p.events_per_sec / 1e3, p.peak_rss / (1024.0 * 1024.0),
       static_cast<unsigned long long>(p.digest));
-  if (p.kind != Phase::Kind::kTraceOnly) {
+  if (p.kind == Phase::Kind::kOverlay) {
     std::printf(
         "  %-18s delay oracle: %s, %d clusters, %d landmarks, "
         "%.1f MB tables, row cache %.1f MB (%llu rows)\n",
@@ -188,8 +180,9 @@ void check_expectations_for(const std::string& phase, obs::TraceDomain* dom,
   }
 }
 
-/// One overlay slice: build the driver on `topo`, run the trace, collect
-/// the standard summary plus the scale telemetry.
+/// One overlay slice: build the driver on `topo` at `shards` worker
+/// shards, run the trace, collect the standard summary plus the scale
+/// telemetry.
 Phase run_overlay(const std::string& name, const std::string& params,
                   std::shared_ptr<const net::Topology> topo,
                   const net::NetworkConfig& ncfg,
@@ -205,32 +198,18 @@ Phase run_overlay(const std::string& name, const std::string& params,
     dcfg.obs.sample_rate = 0.05;
     dcfg.obs.ring_capacity = 512;
   }
+  dcfg.per_pair_lookahead = g_per_pair_lookahead;
   WallTimer timer;
-  if (shards > 1) {
-    p.kind = Phase::Kind::kSharded;
-    dcfg.per_pair_lookahead = g_per_pair_lookahead;
-    overlay::ShardedDriver driver(topo, ncfg, dcfg, shards);
-    driver.run_trace(trace);
-    p.summary = summarize(driver, timer.seconds());
-    p.live_nodes = driver.live_node_count();
-    p.shards = shards;
-    p.effective_shards = driver.effective_shards();
-    p.epochs = driver.epochs();
-    if (g_check_hops > 0.0) {
-      check_expectations_for(name, driver.trace_domain(), p.live_nodes);
-    }
-  } else {
-    overlay::OverlayDriver driver(topo, ncfg, dcfg);
-    driver.run_trace(trace);
-    p.summary = summarize(driver, timer.seconds());
-    p.live_nodes = driver.live_node_count();
-    p.arena_rows = driver.routing_arena().rows_in_use();
-    p.arena_bytes = driver.routing_arena().bytes_reserved();
-    p.timer_arena_slots = driver.sim().arena_slots();
-    p.parked_timers = driver.sim().parked_entries();
-    if (g_check_hops > 0.0) {
-      check_expectations_for(name, driver.trace_domain(), p.live_nodes);
-    }
+  overlay::ShardedDriver driver(topo, ncfg, dcfg, shards);
+  driver.run_trace(trace);
+  p.summary = summarize(driver, timer.seconds());
+  p.live_nodes = driver.live_node_count();
+  p.arena = driver.arena_stats();
+  p.shards = shards;
+  p.effective_shards = driver.effective_shards();
+  p.epochs = driver.epochs();
+  if (g_check_hops > 0.0) {
+    check_expectations_for(name, driver.trace_domain(), p.live_nodes);
   }
   p.wall_seconds = p.summary.wall_seconds;
   p.executed_events = p.summary.executed_events;
@@ -281,7 +260,7 @@ Phase run_fig5(SimDuration slice, SimDuration warmup, std::size_t shards) {
 
 /// The N = 100k tier: one fig4-style slice on the *paper-size* GATech
 /// graph (5050 routers — landmark oracle mode regardless of REPRO_FULL),
-/// normally on the sharded engine. This is the first rung of the
+/// normally at several shards. This is the first rung of the
 /// 100k -> 1M ladder: the delay oracle holds O(R*k + C^2) tables where
 /// the row cache would approach O(R^2).
 Phase run_fig4_100k(SimDuration slice, SimDuration warmup,
@@ -304,7 +283,7 @@ int main(int argc, char** argv) {
   bool smoke = false;
   double max_rss_mb = 0.0;       // 0 = no threshold
   double min_events_per_sec = 0.0;
-  std::size_t shards = 1;        // >1: overlay slices on the sharded engine
+  std::size_t shards = 1;        // worker shards for the overlay slices
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strncmp(argv[i], "--max-rss-mb=", 13) == 0) {
@@ -350,13 +329,11 @@ int main(int argc, char** argv) {
     const SimDuration slice =
         smoke ? minutes(30) : (full_scale() ? hours(4) : hours(1));
     const SimDuration warmup = smoke ? minutes(10) : minutes(20);
-    std::printf("slice: %.0f simulated minutes per overlay run%s\n",
-                to_seconds(slice) / 60.0, smoke ? " (smoke)" : "");
-    if (shards > 1) {
-      std::printf("overlay slices on the sharded engine, %zu shards%s\n",
-                  shards,
-                  g_per_pair_lookahead ? ", per-pair lookahead" : "");
-    }
+    std::printf("slice: %.0f simulated minutes per overlay run, %zu "
+                "shards%s%s\n",
+                to_seconds(slice) / 60.0, shards,
+                g_per_pair_lookahead ? ", per-pair lookahead" : "",
+                smoke ? " (smoke)" : "");
     phases.push_back(run_fig3(slice));
     emit_phase(out, phases.back());
     phases.push_back(run_fig4(slice, warmup, shards));

@@ -43,8 +43,8 @@ Row run_chord(const trace::ChurnTrace& trace, SimDuration stabilize,
 
 Row run_mspastry(const trace::ChurnTrace& trace, std::uint64_t seed) {
   auto cfg = base_driver_config(seed);
-  overlay::OverlayDriver d(make_topology(TopologyKind::kGATech),
-                           make_net_config(TopologyKind::kGATech), cfg);
+  overlay::ShardedDriver d(make_topology(TopologyKind::kGATech),
+                           make_net_config(TopologyKind::kGATech), cfg, 1);
   d.run_trace(trace);
   return Row{d.metrics().incorrect_delivery_rate(), d.metrics().loss_rate(),
              d.metrics().control_traffic_rate()};

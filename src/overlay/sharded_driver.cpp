@@ -1009,6 +1009,17 @@ std::size_t ShardedDriver::live_node_count() const {
   return v;
 }
 
+ShardedDriver::ArenaStats ShardedDriver::arena_stats() const {
+  ArenaStats s;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    s.rows += shards_[i]->arena->rows_in_use();
+    s.bytes += shards_[i]->arena->bytes_reserved();
+    s.timer_slots += engine_.shard(i).arena_slots();
+    s.parked_timers += engine_.shard(i).parked_entries();
+  }
+  return s;
+}
+
 // --- AppNode: the per-upcall façade handed to ShardedApp hooks. ---------
 
 SimTime ShardedDriver::AppNode::now() const { return env_->now(); }

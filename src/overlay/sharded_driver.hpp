@@ -228,6 +228,17 @@ class ShardedDriver {
 
   std::size_t live_node_count() const;
 
+  /// Scale telemetry summed over shards: routing-table arena rows in use
+  /// and bytes reserved, timer-arena slots, and parked (wheel + far-heap)
+  /// timers.
+  struct ArenaStats {
+    std::uint64_t rows = 0;
+    std::uint64_t bytes = 0;
+    std::uint64_t timer_slots = 0;
+    std::uint64_t parked_timers = 0;
+  };
+  ArenaStats arena_stats() const;
+
  private:
   friend class ShardEnv;
 
